@@ -18,7 +18,8 @@
 //	        tail live chain completions from a running `collectd -stream`
 //	        by polling its /feedz debug endpoint (no store needed)
 //	show <uuid-or-prefix>
-//	        one chain's call tree plus its per-interface latency breakdown
+//	        one chain's call tree plus its per-interface latency breakdown;
+//	        reconstructs only the chains linked to it, not the whole store
 //	top [-n N] [-by p50|p95|p99|max|total|calls]
 //	        rank interfaces by latency percentile (streaming digest)
 //	export [-format ftlog|chrome] <out>
@@ -53,6 +54,7 @@ import (
 	"causeway/internal/analysis"
 	"causeway/internal/collector"
 	"causeway/internal/logdb"
+	"causeway/internal/probe"
 	"causeway/internal/render"
 	"causeway/internal/tracestore"
 	"causeway/internal/uuid"
@@ -66,9 +68,10 @@ func main() {
 }
 
 // source is the store view every subcommand works against: the analyzer
-// queries plus whole-store export.
+// queries, the link records `show` walks, and whole-store export.
 type source interface {
 	causeway.Source
+	Links() []probe.Record
 	WriteStream(w io.Writer) error
 }
 
@@ -141,12 +144,48 @@ func run(args []string, w io.Writer) error {
 	}
 }
 
-// reconstruct builds the DSCG with latency/CPU metrics attached.
-func reconstruct(src source, workers int) *analysis.DSCG {
-	g := analysis.ReconstructParallel(src, workers)
+// reconstruct builds the DSCG over chains (sorted, closed under links)
+// with latency/CPU metrics attached. Both metrics are local to a tree, so
+// over a link component they equal the full reconstruction's.
+func reconstruct(src source, chains []uuid.UUID, workers int) *analysis.DSCG {
+	g := analysis.ReconstructChains(src, chains, workers)
 	g.ComputeLatency()
 	g.ComputeCPU()
 	return g
+}
+
+// minPrefix is the shortest chain id `chains` prints.
+const minPrefix = 8
+
+// uniquePrefixes maps each of the sorted chains to the shortest prefix of
+// its UUID string that no other chain in the set shares, git-abbrev style:
+// at least minPrefix characters, longer where sorted neighbours agree
+// further (possibly past a dash). Any such prefix resolves with `show`.
+func uniquePrefixes(chains []uuid.UUID) map[uuid.UUID]string {
+	ids := make([]string, len(chains))
+	for i, c := range chains {
+		ids[i] = c.String()
+	}
+	out := make(map[uuid.UUID]string, len(chains))
+	for i, id := range ids {
+		n := minPrefix
+		if i > 0 {
+			n = max(n, commonPrefix(ids[i-1], id)+1)
+		}
+		if i+1 < len(ids) {
+			n = max(n, commonPrefix(id, ids[i+1])+1)
+		}
+		out[chains[i]] = id[:min(n, len(id))]
+	}
+	return out
+}
+
+func commonPrefix(a, b string) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
 }
 
 // rootOf returns a tree's first root node (every tree has at least one).
@@ -178,7 +217,9 @@ func cmdChains(w io.Writer, src source, workers int, args []string) error {
 	default:
 		return fmt.Errorf("bad -status %q (want all, complete, or anomalous)", *status)
 	}
-	g := reconstruct(src, workers)
+	chains := src.Chains()
+	g := reconstruct(src, chains, workers)
+	ids := uniquePrefixes(chains)
 	anomalous := make(map[uuid.UUID]int)
 	for _, a := range g.Anomalies {
 		anomalous[a.Chain]++
@@ -223,7 +264,7 @@ func cmdChains(w io.Writer, src source, workers int, args []string) error {
 			st = fmt.Sprintf("anomalous(%d)", n)
 		}
 		fmt.Fprintf(w, "%-10s %-44s %7d %12s %s\n",
-			r.tree.Chain.Short(), root.Op.Interface+"::"+root.Op.Operation, nodes, lat, st)
+			ids[r.tree.Chain], root.Op.Interface+"::"+root.Op.Operation, nodes, lat, st)
 	}
 	fmt.Fprintf(w, "%d chain(s)\n", len(rows))
 	return nil
@@ -234,7 +275,29 @@ func cmdShow(w io.Writer, src source, workers int, args []string) error {
 		return fmt.Errorf("usage: causectl show <chain-uuid-or-prefix>")
 	}
 	want := strings.ToLower(args[0])
-	g := reconstruct(src, workers)
+	// The chains carrying the prefix are a contiguous run of the sorted
+	// list (UUID strings sort as their bytes do). Only their link
+	// component is reconstructed: it holds every tree the full DSCG would
+	// match, with the same nodes, metrics and anomalies.
+	chains := src.Chains()
+	first := sort.Search(len(chains), func(i int) bool { return chains[i].String() >= want })
+	var cands []uuid.UUID
+	for _, c := range chains[first:] {
+		if !strings.HasPrefix(c.String(), want) {
+			break
+		}
+		cands = append(cands, c)
+	}
+	if len(cands) == 0 {
+		return fmt.Errorf("no chain matches %q", want)
+	}
+	return showTree(w, reconstruct(src, analysis.LinkComponent(src.Links(), cands...), workers), want)
+}
+
+// showTree prints the one tree of g whose chain id starts with want, with
+// that chain's anomalies and per-interface latency. g may be the full DSCG
+// or any link-closed part of it holding every chain with the prefix.
+func showTree(w io.Writer, g *analysis.DSCG, want string) error {
 	var match *analysis.Tree
 	for _, t := range g.Trees {
 		id := t.Chain.String()
@@ -302,7 +365,7 @@ func cmdTop(w io.Writer, src source, workers int, args []string) error {
 		return fmt.Errorf("bad -by %q (want p50, p95, p99, max, total, or calls)", *by)
 	}
 
-	g := reconstruct(src, workers)
+	g := reconstruct(src, src.Chains(), workers)
 	stats := analysis.InterfaceStats(g, workers)
 	sort.SliceStable(stats, func(i, j int) bool { return key(&stats[i]) > key(&stats[j]) })
 	if *n > 0 && len(stats) > *n {
@@ -347,7 +410,7 @@ func cmdExport(w io.Writer, src source, workers int, args []string) error {
 	case "ftlog":
 		err = src.WriteStream(f)
 	case "chrome":
-		g := reconstruct(src, workers)
+		g := reconstruct(src, src.Chains(), workers)
 		if err = render.ChromeTrace(f, g); err == nil {
 			fmt.Fprintf(w, "exported Chrome trace (%d spans) — open in chrome://tracing or ui.perfetto.dev\n", g.Nodes())
 		}

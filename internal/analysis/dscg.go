@@ -203,14 +203,7 @@ type Source interface {
 func Reconstruct(db *logdb.Store) *DSCG { return ReconstructFrom(db) }
 
 // ReconstructFrom is Reconstruct over any Source.
-func ReconstructFrom(db Source) *DSCG {
-	chains := db.Chains()
-	parsed := make([]ParsedChain, len(chains))
-	for i, chain := range chains {
-		parsed[i] = ParseChainEvents(chain, db.Events(chain))
-	}
-	return AssembleParsed(db, chains, parsed)
-}
+func ReconstructFrom(db Source) *DSCG { return ReconstructChains(db, db.Chains(), 1) }
 
 // ParsedChain is the per-chain output of the Figure-4 state machine: the
 // embarrassingly parallel half of reconstruction. Chains are keyed by a

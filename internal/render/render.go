@@ -17,12 +17,14 @@ import (
 	"causeway/internal/analysis"
 )
 
-// DSCGText writes the call graph as an indented tree. maxDepth < 0 means
-// unlimited; maxNodes <= 0 means unlimited.
+// DSCGText writes the call graph as an indented tree. Each tree opens
+// with its chain's full UUID, so any prefix of it a listing printed (see
+// `causectl chains`) appears verbatim. maxDepth < 0 means unlimited;
+// maxNodes <= 0 means unlimited.
 func DSCGText(w io.Writer, g *analysis.DSCG, maxDepth, maxNodes int) error {
 	written := 0
 	for ti, t := range g.Trees {
-		if _, err := fmt.Fprintf(w, "chain %s\n", t.Chain.Short()); err != nil {
+		if _, err := fmt.Fprintf(w, "chain %s\n", t.Chain); err != nil {
 			return err
 		}
 		for _, r := range t.Roots {

@@ -96,24 +96,41 @@ func encodePayload(e *cdr.Encoder, r *probe.Record) {
 	e.PutRaw(r.LinkChild[:])
 }
 
-// decodePayload parses one frame payload.
+// decodePayload parses one frame payload in full.
 func decodePayload(buf []byte) (probe.Record, error) {
-	d := cdr.NewDecoder(buf)
 	var r probe.Record
+	if err := walkPayload(buf, &r, true); err != nil {
+		return probe.Record{}, err
+	}
+	return r, nil
+}
+
+// walkPayload decodes buf into r field by field in encodePayload's order —
+// the one place the decode side of the layout is written. Every field of r
+// is assigned. With full unset it is the recovery decode: the index keeps
+// only an event's kind, chain, seq and wall times, so an event's string
+// fields are bounds-checked and skipped, never allocated, and come back
+// empty; link records still decode in full, because the index keeps them
+// whole. The checks are the same either way, so both decodes accept
+// exactly the same payloads: each length-prefixed field must fit the
+// frame, the frame must be consumed exactly, and the kind must be known.
+func walkPayload(buf []byte, r *probe.Record, full bool) error {
+	d := cdr.NewDecoder(buf)
 	r.Kind = probe.RecordKind(d.Octet())
+	full = full || r.Kind == probe.KindLink
 	flags := d.Octet()
 	r.Oneway = flags&flagOneway != 0
 	r.Collocated = flags&flagCollocated != 0
 	r.LatencyArmed = flags&flagLatencyArmed != 0
 	r.CPUArmed = flags&flagCPUArmed != 0
-	r.Process = d.String()
-	r.ProcType = d.String()
+	r.Process = str(d, full)
+	r.ProcType = str(d, full)
 	r.Thread = d.Uint64()
-	r.Op.Component = d.String()
-	r.Op.Interface = d.String()
-	r.Op.Operation = d.String()
-	r.Op.Object = d.String()
-	r.Semantics = d.String()
+	r.Op.Component = str(d, full)
+	r.Op.Interface = str(d, full)
+	r.Op.Operation = str(d, full)
+	r.Op.Object = str(d, full)
+	r.Semantics = str(d, full)
 	copy(r.Chain[:], d.Raw(uuid.Size))
 	r.Event = ftl.Event(d.Octet())
 	r.Seq = d.Uint64()
@@ -125,12 +142,22 @@ func decodePayload(buf []byte) (probe.Record, error) {
 	r.LinkParentSeq = d.Uint64()
 	copy(r.LinkChild[:], d.Raw(uuid.Size))
 	if err := d.Finish(); err != nil {
-		return probe.Record{}, fmt.Errorf("tracestore: record payload: %w", err)
+		return fmt.Errorf("tracestore: record payload: %w", err)
 	}
 	if r.Kind != probe.KindEvent && r.Kind != probe.KindLink {
-		return probe.Record{}, fmt.Errorf("tracestore: record kind %d", r.Kind)
+		return fmt.Errorf("tracestore: record kind %d", r.Kind)
 	}
-	return r, nil
+	return nil
+}
+
+// str decodes one length-prefixed string field; with full unset it checks
+// the length against the frame and skips the bytes without copying them.
+func str(d *cdr.Decoder, full bool) string {
+	if full {
+		return d.String()
+	}
+	d.BytesNoCopy()
+	return ""
 }
 
 // segmentWriter appends frames to one segment file through a buffer, so
@@ -220,25 +247,37 @@ func readPayloadAt(f *os.File, off int64, size uint32) (probe.Record, error) {
 	return decodePayload(buf)
 }
 
-// scanSegment walks every complete frame of f from the header on, calling
-// fn with each decoded record and its payload location. It returns the
-// byte offset of the last complete frame's end. A tail cut mid-frame — the
+// segmentScanner indexes segment files frame by frame. A shard scans all
+// of its segments with one scanner, so the read buffer, the payload buffer
+// and the decoded record are allocated once per shard rather than once per
+// segment or frame.
+type segmentScanner struct {
+	br      *bufio.Reader
+	payload []byte
+	rec     probe.Record
+}
+
+// scan walks every complete frame of the segment held in r (total bytes
+// long) from the header on, calling fn with each frame's record, as the
+// recovery decode (walkPayload without full) leaves it, and its payload
+// location. fn must copy what it keeps: the record is reused for the next
+// frame. scan returns the byte offset of the last complete frame's end. A tail cut mid-frame — the
 // signature a crashed writer leaves — returns an error wrapping
 // probe.ErrTruncated; the caller truncates to goodSize and the readable
 // prefix stands. Any other decode failure is a hard error.
-func scanSegment(f *os.File, fn func(rec probe.Record, off int64, size uint32)) (goodSize int64, err error) {
-	info, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("tracestore: stat segment: %w", err)
-	}
-	total := info.Size()
+func (sc *segmentScanner) scan(r io.ReaderAt, total int64, fn func(rec *probe.Record, off int64, size uint32)) (goodSize int64, err error) {
 	if total < segHeader {
 		// Crash while writing the 8-byte header: nothing readable.
 		return 0, fmt.Errorf("tracestore: segment header torn: %w", probe.ErrTruncated)
 	}
-	br := bufio.NewReaderSize(&offsetReader{f: f}, 1<<16)
+	if sc.br == nil {
+		sc.br = bufio.NewReaderSize(&offsetReader{r: r}, 1<<16)
+	} else {
+		sc.br.Reset(&offsetReader{r: r})
+	}
+	br := sc.br
 	var magic [segHeader]byte
-	if _, err := readFull(br, magic[:]); err != nil {
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return 0, fmt.Errorf("tracestore: segment header: %w", err)
 	}
 	if string(magic[:]) != segMagic {
@@ -250,7 +289,7 @@ func scanSegment(f *os.File, fn func(rec probe.Record, off int64, size uint32)) 
 		if total-good < frameHeader {
 			return good, fmt.Errorf("tracestore: frame length torn at %d: %w", good, probe.ErrTruncated)
 		}
-		if _, err := readFull(br, len4[:]); err != nil {
+		if _, err := io.ReadFull(br, len4[:]); err != nil {
 			return good, fmt.Errorf("tracestore: frame length at %d: %w", good, err)
 		}
 		size := binary.LittleEndian.Uint32(len4[:])
@@ -260,33 +299,31 @@ func scanSegment(f *os.File, fn func(rec probe.Record, off int64, size uint32)) 
 		if total-good-frameHeader < int64(size) {
 			return good, fmt.Errorf("tracestore: frame payload torn at %d: %w", good, probe.ErrTruncated)
 		}
-		payload := make([]byte, size)
-		if _, err := readFull(br, payload); err != nil {
+		if cap(sc.payload) < int(size) {
+			sc.payload = make([]byte, size)
+		}
+		payload := sc.payload[:size]
+		if _, err := io.ReadFull(br, payload); err != nil {
 			return good, fmt.Errorf("tracestore: frame payload at %d: %w", good, err)
 		}
-		rec, err := decodePayload(payload)
-		if err != nil {
+		if err := walkPayload(payload, &sc.rec, false); err != nil {
 			return good, fmt.Errorf("tracestore: frame at %d: %w", good, err)
 		}
-		fn(rec, good+frameHeader, size)
+		fn(&sc.rec, good+frameHeader, size)
 		good += frameHeader + int64(size)
 	}
 	return good, nil
 }
 
 // offsetReader adapts ReadAt-style access into a sequential io.Reader that
-// never moves the file's own seek position (the write path owns it).
+// never moves a file's own seek position (the write path owns it).
 type offsetReader struct {
-	f   *os.File
+	r   io.ReaderAt
 	off int64
 }
 
 func (r *offsetReader) Read(p []byte) (int, error) {
-	n, err := r.f.ReadAt(p, r.off)
+	n, err := r.r.ReadAt(p, r.off)
 	r.off += int64(n)
 	return n, err
-}
-
-func readFull(br *bufio.Reader, p []byte) (int, error) {
-	return io.ReadFull(br, p)
 }

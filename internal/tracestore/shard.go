@@ -93,6 +93,7 @@ func openShard(dir string, maxBytes int64, warn func(string)) (*shard, error) {
 	floor := sh.readGC()
 	now := time.Now()
 	lastID, lastSize := -1, int64(0)
+	var sc segmentScanner
 	for _, id := range ids {
 		if id < floor {
 			// Leftover from a crash between compaction's gc write and
@@ -101,7 +102,7 @@ func openShard(dir string, maxBytes int64, warn func(string)) (*shard, error) {
 			os.Remove(sh.segPath(id))
 			continue
 		}
-		size, err := sh.recoverSegment(id, now, warn)
+		size, err := sh.recoverSegment(&sc, id, now, warn)
 		if err != nil {
 			return nil, err
 		}
@@ -169,15 +170,20 @@ func (sh *shard) writeGC(floor int) error {
 	return nil
 }
 
-// recoverSegment scans segment id, rebuilding the index, and truncates a
-// torn tail in place. Returns the segment's recovered size.
-func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (int64, error) {
+// recoverSegment scans segment id with sc, rebuilding the index, and
+// truncates a torn tail in place. Returns the segment's recovered size.
+func (sh *shard) recoverSegment(sc *segmentScanner, id int, now time.Time, warn func(string)) (int64, error) {
 	path := sh.segPath(id)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return 0, fmt.Errorf("tracestore: open segment: %w", err)
 	}
-	good, err := scanSegment(f, func(rec probe.Record, off int64, size uint32) {
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return 0, fmt.Errorf("tracestore: stat segment: %w", err)
+	}
+	good, err := sc.scan(f, info.Size(), func(rec *probe.Record, off int64, size uint32) {
 		sh.indexRecord(rec, id, off, size, now)
 	})
 	if err != nil {
@@ -207,8 +213,10 @@ func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (int64
 	return good, nil
 }
 
-// indexRecord adds one decoded record to the in-memory index.
-func (sh *shard) indexRecord(rec probe.Record, seg int, off int64, size uint32, now time.Time) {
+// indexRecord adds one record to the in-memory index. Events need only
+// their kind, chain, seq and wall times (what recovery decodes); links are
+// kept whole.
+func (sh *shard) indexRecord(rec *probe.Record, seg int, off int64, size uint32, now time.Time) {
 	switch rec.Kind {
 	case probe.KindEvent:
 		ci := sh.chains[rec.Chain]
@@ -232,7 +240,7 @@ func (sh *shard) indexRecord(rec probe.Record, seg int, off int64, size uint32, 
 		}
 		sh.events++
 	case probe.KindLink:
-		sh.links = append(sh.links, rec)
+		sh.links = append(sh.links, *rec)
 		sh.byParent[chainSeq{rec.LinkParent, rec.LinkParentSeq}] = rec.LinkChild
 	}
 }
@@ -269,7 +277,7 @@ func (sh *shard) appendLocked(r *probe.Record, now time.Time) bool {
 		sh.dropped++
 		return false
 	}
-	sh.indexRecord(*r, sh.activeID, off, size, now)
+	sh.indexRecord(r, sh.activeID, off, size, now)
 	return true
 }
 

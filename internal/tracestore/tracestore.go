@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,7 +65,9 @@ type Store struct {
 
 // Open creates or reopens the store rooted at dir, recovering every
 // shard's segments (truncating torn tails, dropping segments below the
-// compaction watermark).
+// compaction watermark). Shards share nothing on disk, so they recover
+// concurrently, at most GOMAXPROCS at a time; recovery warnings are kept
+// in shard order regardless.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = defaultShards
@@ -88,15 +91,32 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{dir: dir, mask: uint64(shards - 1)}
 	s.shards = make([]*shard, shards)
+	warns := make([][]string, shards)
+	errs := make([]error, shards)
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
 	for i := range s.shards {
-		sh, err := openShard(filepath.Join(dir, fmt.Sprintf("shard-%03d", i)), opts.SegmentMaxBytes, s.warn)
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			warn := func(msg string) { warns[i] = append(warns[i], msg) }
+			s.shards[i], errs[i] = openShard(filepath.Join(dir, fmt.Sprintf("shard-%03d", i)), opts.SegmentMaxBytes, warn)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			for _, prev := range s.shards[:i] {
-				prev.close()
+			for _, sh := range s.shards {
+				if sh != nil {
+					sh.close()
+				}
 			}
 			return nil, err
 		}
-		s.shards[i] = sh
+	}
+	for _, w := range warns {
+		s.warnings = append(s.warnings, w...)
 	}
 	return s, nil
 }

@@ -254,18 +254,12 @@ func TestRecoverEveryTruncation(t *testing.T) {
 
 	// frameEnds[i] = file size at which exactly i+1 records are readable.
 	var frameEnds []int64
-	f, err := os.Open(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := segHeader
-	if _, err := scanSegment(f, func(_ probe.Record, off int64, size uint32) {
-		end = off + int64(size)
-		frameEnds = append(frameEnds, end)
+	var sc segmentScanner
+	if _, err := sc.scan(bytes.NewReader(full), int64(len(full)), func(_ *probe.Record, off int64, size uint32) {
+		frameEnds = append(frameEnds, off+int64(size))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	if len(frameEnds) != len(recs) {
 		t.Fatalf("reference scan: %d frames want %d", len(frameEnds), len(recs))
 	}

@@ -182,7 +182,8 @@ type Sink interface {
 type SpanSink interface {
 	Sink
 	// AppendSpan stores a probe span's records (1–4 of them) atomically
-	// with respect to other appends.
+	// with respect to other appends. A telemetry server hands span-aware
+	// sinks each ship frame's records the same way, in one call.
 	AppendSpan(recs []Record)
 }
 

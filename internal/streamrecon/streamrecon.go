@@ -156,7 +156,7 @@ const (
 )
 
 // Assembler incrementally assembles chains from a live record stream.
-// It is a probe.Sink: attach it to a telemetry server's fan-out. A
+// It is a probe.SpanSink: attach it to a telemetry server's fan-out. A
 // driver must call Tick periodically — the assembler owns no goroutine,
 // following the repo's pattern of leaving scheduling to the daemon.
 type Assembler struct {
@@ -179,7 +179,7 @@ type Assembler struct {
 	evictMu sync.Mutex
 }
 
-var _ probe.Sink = (*Assembler)(nil)
+var _ probe.SpanSink = (*Assembler)(nil)
 
 // New builds an assembler, applying defaults.
 func New(cfg Config) (*Assembler, error) {
@@ -217,12 +217,29 @@ func New(cfg Config) (*Assembler, error) {
 func (a *Assembler) Append(r probe.Record) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.appendLocked(&r)
+}
+
+// AppendSpan implements probe.SpanSink: one lock acquisition covers a
+// whole batch — a telemetry ship frame hands over its records in one
+// call — and each record is appended in order exactly as Append would.
+func (a *Assembler) AppendSpan(recs []probe.Record) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := range recs {
+		a.appendLocked(&recs[i])
+	}
+}
+
+// appendLocked buffers one record, routes stragglers by their chain's
+// decision, and enforces MaxBuffered. Called under a.mu.
+func (a *Assembler) appendLocked(r *probe.Record) {
 	a.appended++
 	if r.Kind == probe.KindLink {
 		// Links are store metadata, not chain events: forward on the
 		// next Tick. A link whose parent chain is later discarded is
 		// harmless — ChildChain is only consulted for nodes that exist.
-		a.persistQ = append(a.persistQ, r)
+		a.persistQ = append(a.persistQ, *r)
 		a.buffered++
 		return
 	}
@@ -230,7 +247,7 @@ func (a *Assembler) Append(r probe.Record) {
 		// Straggler for an evicted chain: follow the chain's decision.
 		switch d {
 		case decidedPersist:
-			a.persistQ = append(a.persistQ, r)
+			a.persistQ = append(a.persistQ, *r)
 			a.buffered++
 		case decidedDiscard:
 			a.discarded++
@@ -244,7 +261,7 @@ func (a *Assembler) Append(r probe.Record) {
 		buf = &chainBuf{}
 		a.open[r.Chain] = buf
 	}
-	buf.recs = append(buf.recs, r)
+	buf.recs = append(buf.recs, *r)
 	buf.last = a.cfg.Clock()
 	a.buffered++
 	if a.cfg.MaxBuffered > 0 && a.buffered > a.cfg.MaxBuffered {

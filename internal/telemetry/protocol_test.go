@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -69,11 +70,45 @@ func TestHandshakeVersionMismatchIsLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Status == transport.StatusOK {
-		t.Fatal("version-1 handshake accepted by version-2 server")
+		t.Fatalf("version-1 handshake accepted by version-%d server", ProtocolVersion)
 	}
 	msg := string(rep.Body)
-	if !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 2") {
+	if !strings.Contains(msg, "version 1") || !strings.Contains(msg, fmt.Sprintf("want %d", ProtocolVersion)) {
 		t.Fatalf("rejection does not name both versions: %q", msg)
+	}
+}
+
+// A version-2 shipper — the one whose ship frames were gob — is refused
+// at hello with the version error, before it can send a batch the server
+// would fail to decode.
+func TestV2ShipperRefusedAtHello(t *testing.T) {
+	store := logdb.NewStore()
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := transport.DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	hello, err := encodeHello(Hello{Version: 2, Process: "v2", ProcType: "x86"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Status == transport.StatusOK {
+		t.Fatal("version-2 handshake accepted")
+	}
+	if msg := string(rep.Body); !strings.Contains(msg, "protocol version 2, want 3") {
+		t.Fatalf("rejection does not name both versions: %q", msg)
+	}
+	if len(srv.Peers()) != 0 || store.Len() != 0 {
+		t.Fatalf("refused peer registered: peers %v, %d records", srv.Peers(), store.Len())
 	}
 }
 
@@ -200,7 +235,7 @@ func TestReplayOperationAccounting(t *testing.T) {
 		t.Fatalf("handshake: %v %v", rep, err)
 	}
 
-	batch, _ := encodeBatch([]probe.Record{testRecord("p", 1), testRecord("p", 2)})
+	batch := encodeBatch([]probe.Record{testRecord("p", 1), testRecord("p", 2)})
 	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opReplay, Body: batch})
 	if err != nil || rep.Status != transport.StatusOK {
 		t.Fatalf("replay: %v %v", rep, err)
@@ -245,7 +280,7 @@ func TestClusterOpsRejectedWhenStandalone(t *testing.T) {
 	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opRing}); err != nil || rep.Status == transport.StatusOK {
 		t.Fatalf("standalone server served a ring: %v %v", rep, err)
 	}
-	batch, _ := encodeBatch([]probe.Record{testRecord("p", 1)})
+	batch := encodeBatch([]probe.Record{testRecord("p", 1)})
 	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opReplay, Body: batch}); err != nil || rep.Status == transport.StatusOK {
 		t.Fatalf("standalone server accepted a replay: %v %v", rep, err)
 	}

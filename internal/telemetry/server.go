@@ -33,9 +33,11 @@ type ServerConfig struct {
 	// relational store the offline analyzer later reads.
 	Store RecordStore
 	// Sinks additionally receive every record in arrival order — e.g. an
-	// online.Monitor for live reconstruction. Sinks must be safe for
-	// concurrent use: batches from different connections are ingested
-	// concurrently (per-connection order is preserved).
+	// online.Monitor for live reconstruction. A sink that implements
+	// probe.SpanSink receives each ship frame's records in one AppendSpan
+	// call. Sinks must be safe for concurrent use: batches from different
+	// connections are ingested concurrently (per-connection order is
+	// preserved).
 	Sinks []probe.Sink
 	// OnConnect, when set, fires after each successful handshake.
 	OnConnect func(Peer)
@@ -305,9 +307,7 @@ func (s *Server) ingest(conn transport.ConnID, recs []probe.Record) {
 	if s.cfg.Store != nil {
 		s.cfg.Store.Insert(recs...)
 	}
-	for _, sink := range s.cfg.Sinks {
-		for _, r := range recs {
-			sink.Append(r)
-		}
-	}
+	// Span-aware sinks take the whole frame in one call, the rest record
+	// by record, in order either way.
+	probe.TeeSink(s.cfg.Sinks).AppendSpan(recs)
 }

@@ -13,6 +13,7 @@ import (
 	"causeway/internal/online"
 	"causeway/internal/probe"
 	"causeway/internal/render"
+	"causeway/internal/transport"
 	"causeway/internal/uuid"
 )
 
@@ -153,5 +154,50 @@ func TestManyShippersStats(t *testing.T) {
 	}
 	if n := srv.Stats().Records; n != 8 {
 		t.Fatalf("records = %d, want 8", n)
+	}
+}
+
+// frameSink records how records arrive: one AppendSpan call per frame.
+type frameSink struct {
+	mu     sync.Mutex
+	frames [][]probe.Record
+}
+
+func (s *frameSink) Append(r probe.Record) { s.AppendSpan([]probe.Record{r}) }
+
+func (s *frameSink) AppendSpan(recs []probe.Record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.frames = append(s.frames, append([]probe.Record(nil), recs...))
+}
+
+// A ship frame reaches a span-aware sink in one AppendSpan call and a
+// plain sink record by record, in frame order either way.
+func TestIngestHandsFramesToSpanSinks(t *testing.T) {
+	spans := &frameSink{}
+	plain := &probe.MemorySink{}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{spans, plain}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := transport.DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	hello, _ := encodeHello(Hello{Version: ProtocolVersion, Process: "p", ProcType: "x86"})
+	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello}); err != nil || rep.Status != transport.StatusOK {
+		t.Fatalf("handshake: %v %v", rep, err)
+	}
+	batch := []probe.Record{testRecord("p", 1), testRecord("p", 2), testRecord("p", 3)}
+	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: encodeBatch(batch)}); err != nil || rep.Status != transport.StatusOK {
+		t.Fatalf("ship: %v %v", rep, err)
+	}
+	if len(spans.frames) != 1 || !sameRecords(spans.frames[0], batch) {
+		t.Fatalf("span sink saw %d calls, want the frame in one", len(spans.frames))
+	}
+	if !sameRecords(plain.Snapshot(), batch) {
+		t.Fatalf("plain sink saw %+v", plain.Snapshot())
 	}
 }

@@ -10,7 +10,9 @@
 //
 // Shipping rides the repo's own framed TCP transport (internal/transport):
 // every message is a length-prefixed transport frame whose Request carries
-// ObjectKey "causeway.telemetry" and one of four operations:
+// ObjectKey "causeway.telemetry" and one of these operations (rate, ring
+// and replay, the cluster and sampling controls, are described at their
+// constants below):
 //
 //	hello  (sync)   [version byte] + gob(Hello{Version, Process,
 //	                ProcType}) — handshake; the server learns the peer's
@@ -23,8 +25,15 @@
 //	                instead of a confusing decode failure — or worse,
 //	                silently misrouting records around a ring it cannot
 //	                parse.
-//	ship   (oneway) gob([]probe.Record) — one batch of records, in
-//	                emission order.
+//	ship   (sync)   batch — one batch of records, in emission order; the
+//	                empty StatusOK reply acknowledges ingestion. A batch
+//	                is a uint32 record count followed by that many
+//	                (uint32 length, payload) pairs, each payload one
+//	                record in the internal/reccodec layout the trace
+//	                store's segment frames use — a record has one
+//	                encoding on the wire and on disk. The rare control
+//	                messages (hello, stats, rate, ring, replay's count
+//	                reply) stay gob.
 //	stats  (oneway) gob(ShipperFinal) — the shipper's closing account of
 //	                itself (appended/dropped/shipped), sent once during
 //	                drain so the collection side can report per-peer loss.
@@ -53,10 +62,14 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"sync"
 
+	"causeway/internal/cdr"
 	"causeway/internal/probe"
+	"causeway/internal/reccodec"
 )
 
 // ObjectKey routes telemetry frames within the shared transport namespace.
@@ -65,7 +78,7 @@ const ObjectKey = "causeway.telemetry"
 // Operations of the shipping protocol.
 const (
 	opHello = "hello"
-	// opShip (sync) carries gob([]probe.Record); the empty StatusOK
+	// opShip (sync) carries one batch (see decodeBatch); the empty StatusOK
 	// reply acknowledges ingestion. Shippers hold a batch as pending
 	// until the ack arrives, so a collector dying mid-frame loses
 	// nothing — the batch is retried on reconnect (or re-routed by
@@ -85,7 +98,7 @@ const (
 	// rebalance (collector joined or died) re-routes records without a
 	// reconnect. Collectors outside any cluster reject the call.
 	opRing = "ring"
-	// opReplay (sync) carries gob([]probe.Record) like ship, but marks
+	// opReplay (sync) carries a batch like ship, but marks
 	// the batch as a segment replay after a ring rebalance: the receiver
 	// deduplicates against records it already holds and accounts accepted
 	// records as Replayed, not freshly shipped — the bucket that keeps
@@ -99,8 +112,10 @@ const (
 // server rejects handshakes from other versions. Version 2 added the
 // leading version byte on the handshake (both directions), the
 // HelloReply payload (cluster ring discovery), and the ring and replay
-// operations.
-const ProtocolVersion = 2
+// operations. Version 3 replaced the gob-encoded ship and replay batches
+// with the reccodec record layout, so an older shipper is refused at
+// hello rather than failing to decode its first batch.
+const ProtocolVersion = 3
 
 // Hello is the handshake payload: who is shipping. DebugAddr (optional,
 // since PR 5) advertises the peer's debug/introspection HTTP address so
@@ -255,32 +270,78 @@ func decodeRate(b []byte) (float64, error) {
 	return rate, nil
 }
 
-// batchEncoder reuses one bytes.Buffer across ship frames. Each frame must
-// stay self-contained — the server decodes frames independently, so every
-// encode starts a fresh gob stream carrying its own type info — but the
-// byte buffer behind them is reusable: the transport's ownership contract
-// hands the Body back to the caller the moment Post returns, so the next
-// encode may overwrite it.
+// Ship and replay frame body (protocol version 3): a uint32 record count,
+// then for each record a uint32 payload length and the payload in the
+// internal/reccodec layout — a trace-store segment frame, repeated. The
+// bytes a record has on the wire are the bytes it has on disk.
+const (
+	recordPrefix = 4
+	// minBatchRecord is the fewest bytes one record takes in a frame
+	// body; a count that needs more than the body holds is rejected
+	// before anything is allocated.
+	minBatchRecord = recordPrefix + reccodec.MinPayload
+)
+
+// batchEncoder reuses one encode buffer across ship frames: the
+// transport's ownership contract hands the Body back to the caller the
+// moment the call returns, so the next encode may overwrite it, and a warm
+// encode allocates nothing.
 type batchEncoder struct {
-	buf bytes.Buffer
+	enc cdr.Encoder
 }
 
-func (e *batchEncoder) encode(recs []probe.Record) ([]byte, error) {
-	e.buf.Reset()
-	if err := gob.NewEncoder(&e.buf).Encode(recs); err != nil {
-		return nil, fmt.Errorf("telemetry: encode batch: %w", err)
+func (b *batchEncoder) encode(recs []probe.Record) []byte {
+	e := &b.enc
+	e.Reset()
+	e.PutUint32(uint32(len(recs)))
+	for i := range recs {
+		at := e.Len()
+		e.PutUint32(0) // the payload length, patched once it is known
+		reccodec.Encode(e, &recs[i])
+		binary.LittleEndian.PutUint32(e.Bytes()[at:], uint32(e.Len()-at-recordPrefix))
 	}
-	return e.buf.Bytes(), nil
+	return e.Bytes()
 }
 
-func encodeBatch(recs []probe.Record) ([]byte, error) {
-	var e batchEncoder
-	return e.encode(recs)
+func encodeBatch(recs []probe.Record) []byte {
+	var b batchEncoder
+	return b.encode(recs)
 }
 
+// internPool holds the identity-string tables frame decodes share. A
+// table is used by one decode at a time and is bounded (reccodec.Interner),
+// so the vocabulary it pins stays small; the strings it hands out are
+// ordinary immutable strings, safe to keep after the table is reused.
+var internPool = sync.Pool{New: func() any { return new(reccodec.Interner) }}
+
+// decodeBatch parses a ship or replay frame body into a fresh record
+// slice, which the caller may keep (stores and sinks retain records).
+// Every string is copied out of b — the transport recycles the frame
+// buffer once the handler returns — and the identity strings come from a
+// pooled intern table, so a frame drawn from a small vocabulary allocates
+// its slice and little else.
 func decodeBatch(b []byte) ([]probe.Record, error) {
-	var recs []probe.Record
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&recs); err != nil {
+	d := cdr.NewDecoder(b)
+	n := d.Uint32()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("telemetry: decode batch: %w", err)
+	}
+	if uint64(n)*minBatchRecord > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("telemetry: decode batch: %d records cannot fit in %d bytes", n, d.Remaining())
+	}
+	in := internPool.Get().(*reccodec.Interner)
+	defer internPool.Put(in)
+	recs := make([]probe.Record, n)
+	for i := range recs {
+		payload := d.BytesNoCopy()
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("telemetry: decode batch: record %d: %w", i, err)
+		}
+		if err := reccodec.DecodeInterned(payload, &recs[i], in); err != nil {
+			return nil, fmt.Errorf("telemetry: decode batch: record %d: %w", i, err)
+		}
+	}
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("telemetry: decode batch: %w", err)
 	}
 	return recs, nil

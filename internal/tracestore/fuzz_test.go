@@ -9,6 +9,7 @@ import (
 
 	"causeway/internal/ftl"
 	"causeway/internal/probe"
+	"causeway/internal/reccodec"
 )
 
 // fuzzRecords are the seed records: a timed event with every string set,
@@ -30,9 +31,9 @@ func FuzzSegmentPayload(f *testing.F) {
 		f.Add(encodeRecord(r))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		full, fullErr := decodePayload(payload)
+		full, fullErr := reccodec.Decode(payload)
 		idx := probe.Record{Process: "stale", Semantics: "stale"}
-		idxErr := walkPayload(payload, &idx, false)
+		idxErr := reccodec.DecodeIndex(payload, &idx)
 		if (fullErr == nil) != (idxErr == nil) {
 			t.Fatalf("full decode error %v, index decode error %v", fullErr, idxErr)
 		}

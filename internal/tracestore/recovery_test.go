@@ -16,12 +16,13 @@ import (
 	"causeway/internal/cdr"
 	"causeway/internal/ftl"
 	"causeway/internal/probe"
+	"causeway/internal/reccodec"
 	"causeway/internal/uuid"
 	"causeway/internal/workload"
 )
 
 // fullDecodeIndex rebuilds one shard directory's index the slow way: it
-// parses every frame by hand and decodes it with decodePayload, the full
+// parses every frame by hand and decodes it with reccodec.Decode, the full
 // decoder. Records without wall times touch their chain at now.
 func fullDecodeIndex(t *testing.T, dir string, now time.Time) *shard {
 	t.Helper()
@@ -43,7 +44,7 @@ func fullDecodeIndex(t *testing.T, dir string, now time.Time) *shard {
 		for off < int64(len(data)) {
 			size := binary.LittleEndian.Uint32(data[off:])
 			payload := data[off+frameHeader : off+frameHeader+int64(size)]
-			rec, err := decodePayload(payload)
+			rec, err := reccodec.Decode(payload)
 			if err != nil {
 				t.Fatalf("%s frame at %d: %v", ref.segPath(id), off, err)
 			}
@@ -141,7 +142,7 @@ func frame(payload []byte) []byte {
 
 func encodeRecord(r probe.Record) []byte {
 	var e cdr.Encoder
-	encodePayload(&e, &r)
+	reccodec.Encode(&e, &r)
 	return append([]byte(nil), e.Bytes()...)
 }
 
@@ -160,8 +161,8 @@ func TestOpenRejectsCorruptFrames(t *testing.T) {
 		}(),
 	}
 	for name, bad := range corrupt {
-		if _, err := decodePayload(bad); err == nil {
-			t.Fatalf("%s: decodePayload accepted the frame", name)
+		if _, err := reccodec.Decode(bad); err == nil {
+			t.Fatalf("%s: reccodec.Decode accepted the frame", name)
 		}
 		dir := t.TempDir()
 		if err := writeManifest(dir, 1); err != nil {

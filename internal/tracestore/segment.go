@@ -5,23 +5,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"time"
 
 	"causeway/internal/cdr"
-	"causeway/internal/ftl"
 	"causeway/internal/probe"
-	"causeway/internal/uuid"
+	"causeway/internal/reccodec"
 )
 
 // Segment file layout: an 8-byte magic header followed by frames, each a
-// little-endian uint32 payload length plus a cdr-encoded record payload
-// (internal/cdr conventions: length-prefixed strings, little-endian
-// integers, raw fixed-size UUIDs). A crashed writer leaves at most one
-// torn frame at the tail; recovery truncates to the last complete frame
-// and the readable prefix stands, mirroring probe.ReadStream's
-// ErrTruncated handling for gob logs.
+// little-endian uint32 payload length plus one record payload in the
+// internal/reccodec layout (the same bytes a telemetry ship frame carries
+// per record). A crashed writer leaves at most one torn frame at the
+// tail; recovery truncates to the last complete frame and the readable
+// prefix stands, mirroring probe.ReadStream's ErrTruncated handling for
+// gob logs.
 const (
 	segMagic    = "CWTSEG1\n"
 	segHeader   = int64(len(segMagic))
@@ -29,136 +26,11 @@ const (
 	// maxFramePayload bounds a frame so a corrupt length prefix cannot
 	// provoke a huge allocation.
 	maxFramePayload = 16 << 20
+	// writeBuffer sizes a segment writer's buffer: one write(2) per
+	// 64 KiB of frames on the ingest path. It is also the most a crash
+	// can lose of frames the store accepted but never flushed.
+	writeBuffer = 64 << 10
 )
-
-// timeNone is the encoded sentinel for the zero time.Time (whose UnixNano
-// is undefined).
-const timeNone = int64(math.MinInt64)
-
-func putTime(e *cdr.Encoder, t time.Time) {
-	if t.IsZero() {
-		e.PutInt64(timeNone)
-		return
-	}
-	e.PutInt64(t.UnixNano())
-}
-
-func getTime(d *cdr.Decoder) time.Time {
-	v := d.Int64()
-	if v == timeNone {
-		return time.Time{}
-	}
-	return time.Unix(0, v)
-}
-
-// Record flag bits (payload byte 2).
-const (
-	flagOneway = 1 << iota
-	flagCollocated
-	flagLatencyArmed
-	flagCPUArmed
-)
-
-// encodePayload appends r's cdr encoding to e (no length prefix).
-func encodePayload(e *cdr.Encoder, r *probe.Record) {
-	e.PutOctet(byte(r.Kind))
-	var flags byte
-	if r.Oneway {
-		flags |= flagOneway
-	}
-	if r.Collocated {
-		flags |= flagCollocated
-	}
-	if r.LatencyArmed {
-		flags |= flagLatencyArmed
-	}
-	if r.CPUArmed {
-		flags |= flagCPUArmed
-	}
-	e.PutOctet(flags)
-	e.PutString(r.Process)
-	e.PutString(r.ProcType)
-	e.PutUint64(r.Thread)
-	e.PutString(r.Op.Component)
-	e.PutString(r.Op.Interface)
-	e.PutString(r.Op.Operation)
-	e.PutString(r.Op.Object)
-	e.PutString(r.Semantics)
-	e.PutRaw(r.Chain[:])
-	e.PutOctet(byte(r.Event))
-	e.PutUint64(r.Seq)
-	putTime(e, r.WallStart)
-	putTime(e, r.WallEnd)
-	e.PutInt64(int64(r.CPUStart))
-	e.PutInt64(int64(r.CPUEnd))
-	e.PutRaw(r.LinkParent[:])
-	e.PutUint64(r.LinkParentSeq)
-	e.PutRaw(r.LinkChild[:])
-}
-
-// decodePayload parses one frame payload in full.
-func decodePayload(buf []byte) (probe.Record, error) {
-	var r probe.Record
-	if err := walkPayload(buf, &r, true); err != nil {
-		return probe.Record{}, err
-	}
-	return r, nil
-}
-
-// walkPayload decodes buf into r field by field in encodePayload's order —
-// the one place the decode side of the layout is written. Every field of r
-// is assigned. With full unset it is the recovery decode: the index keeps
-// only an event's kind, chain, seq and wall times, so an event's string
-// fields are bounds-checked and skipped, never allocated, and come back
-// empty; link records still decode in full, because the index keeps them
-// whole. The checks are the same either way, so both decodes accept
-// exactly the same payloads: each length-prefixed field must fit the
-// frame, the frame must be consumed exactly, and the kind must be known.
-func walkPayload(buf []byte, r *probe.Record, full bool) error {
-	d := cdr.NewDecoder(buf)
-	r.Kind = probe.RecordKind(d.Octet())
-	full = full || r.Kind == probe.KindLink
-	flags := d.Octet()
-	r.Oneway = flags&flagOneway != 0
-	r.Collocated = flags&flagCollocated != 0
-	r.LatencyArmed = flags&flagLatencyArmed != 0
-	r.CPUArmed = flags&flagCPUArmed != 0
-	r.Process = str(d, full)
-	r.ProcType = str(d, full)
-	r.Thread = d.Uint64()
-	r.Op.Component = str(d, full)
-	r.Op.Interface = str(d, full)
-	r.Op.Operation = str(d, full)
-	r.Op.Object = str(d, full)
-	r.Semantics = str(d, full)
-	copy(r.Chain[:], d.Raw(uuid.Size))
-	r.Event = ftl.Event(d.Octet())
-	r.Seq = d.Uint64()
-	r.WallStart = getTime(d)
-	r.WallEnd = getTime(d)
-	r.CPUStart = time.Duration(d.Int64())
-	r.CPUEnd = time.Duration(d.Int64())
-	copy(r.LinkParent[:], d.Raw(uuid.Size))
-	r.LinkParentSeq = d.Uint64()
-	copy(r.LinkChild[:], d.Raw(uuid.Size))
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("tracestore: record payload: %w", err)
-	}
-	if r.Kind != probe.KindEvent && r.Kind != probe.KindLink {
-		return fmt.Errorf("tracestore: record kind %d", r.Kind)
-	}
-	return nil
-}
-
-// str decodes one length-prefixed string field; with full unset it checks
-// the length against the frame and skips the bytes without copying them.
-func str(d *cdr.Decoder, full bool) string {
-	if full {
-		return d.String()
-	}
-	d.BytesNoCopy()
-	return ""
-}
 
 // segmentWriter appends frames to one segment file through a buffer, so
 // the ingest hot path pays an in-memory encode rather than a syscall per
@@ -177,7 +49,7 @@ func createSegment(path string) (*segmentWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracestore: create segment: %w", err)
 	}
-	w := &segmentWriter{f: f, bw: bufio.NewWriter(f), size: segHeader}
+	w := &segmentWriter{f: f, bw: bufio.NewWriterSize(f, writeBuffer), size: segHeader}
 	if _, err := w.bw.WriteString(segMagic); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("tracestore: segment header: %w", err)
@@ -196,14 +68,14 @@ func appendSegment(path string, size int64) (*segmentWriter, error) {
 		f.Close()
 		return nil, fmt.Errorf("tracestore: seek segment: %w", err)
 	}
-	return &segmentWriter{f: f, bw: bufio.NewWriter(f), size: size}, nil
+	return &segmentWriter{f: f, bw: bufio.NewWriterSize(f, writeBuffer), size: size}, nil
 }
 
 // append encodes r as one frame. It returns the payload's offset and size,
 // which the in-memory index retains for ReadAt-backed queries.
 func (w *segmentWriter) append(r *probe.Record) (off int64, size uint32, err error) {
 	w.enc.Reset()
-	encodePayload(&w.enc, r)
+	reccodec.Encode(&w.enc, r)
 	payload := w.enc.Bytes()
 	binary.LittleEndian.PutUint32(w.len4[:], uint32(len(payload)))
 	if _, err := w.bw.Write(w.len4[:]); err != nil {
@@ -244,7 +116,7 @@ func readPayloadAt(f *os.File, off int64, size uint32) (probe.Record, error) {
 	if _, err := f.ReadAt(buf, off); err != nil {
 		return probe.Record{}, fmt.Errorf("tracestore: read record: %w", err)
 	}
-	return decodePayload(buf)
+	return reccodec.Decode(buf)
 }
 
 // segmentScanner indexes segment files frame by frame. A shard scans all
@@ -259,7 +131,7 @@ type segmentScanner struct {
 
 // scan walks every complete frame of the segment held in r (total bytes
 // long) from the header on, calling fn with each frame's record, as the
-// recovery decode (walkPayload without full) leaves it, and its payload
+// recovery decode (reccodec.DecodeIndex) leaves it, and its payload
 // location. fn must copy what it keeps: the record is reused for the next
 // frame. scan returns the byte offset of the last complete frame's end. A tail cut mid-frame — the
 // signature a crashed writer leaves — returns an error wrapping
@@ -306,7 +178,7 @@ func (sc *segmentScanner) scan(r io.ReaderAt, total int64, fn func(rec *probe.Re
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return good, fmt.Errorf("tracestore: frame payload at %d: %w", good, err)
 		}
-		if err := walkPayload(payload, &sc.rec, false); err != nil {
+		if err := reccodec.DecodeIndex(payload, &sc.rec); err != nil {
 			return good, fmt.Errorf("tracestore: frame at %d: %w", good, err)
 		}
 		fn(&sc.rec, good+frameHeader, size)

@@ -199,17 +199,11 @@ func (s *Store) Insert(recs ...probe.Record) {
 		return
 	}
 	now := time.Now()
-	if len(recs) == 1 {
-		sh := s.shards[s.shardOf(&recs[0])]
-		sh.insert(recs, now)
+	if idx, ok := s.oneShard(recs); ok {
+		s.shards[idx].insert(recs, now)
 		return
 	}
-	byShard := make(map[int][]probe.Record)
-	for i := range recs {
-		idx := s.shardOf(&recs[i])
-		byShard[idx] = append(byShard[idx], recs[i])
-	}
-	for idx, batch := range byShard {
+	for idx, batch := range s.byShard(recs) {
 		s.shards[idx].insert(batch, now)
 	}
 }
@@ -225,19 +219,37 @@ func (s *Store) InsertNew(recs ...probe.Record) int {
 		return 0
 	}
 	now := time.Now()
-	if len(recs) == 1 {
-		return s.shards[s.shardOf(&recs[0])].insertNew(recs, now)
-	}
-	byShard := make(map[int][]probe.Record)
-	for i := range recs {
-		idx := s.shardOf(&recs[i])
-		byShard[idx] = append(byShard[idx], recs[i])
+	if idx, ok := s.oneShard(recs); ok {
+		return s.shards[idx].insertNew(recs, now)
 	}
 	accepted := 0
-	for idx, batch := range byShard {
+	for idx, batch := range s.byShard(recs) {
 		accepted += s.shards[idx].insertNew(batch, now)
 	}
 	return accepted
+}
+
+// oneShard reports the shard every record of recs hashes to, if they
+// share one. That is the common case — the streaming assembler evicts one
+// chain per call — and lets the insert work on recs in place.
+func (s *Store) oneShard(recs []probe.Record) (int, bool) {
+	idx := s.shardOf(&recs[0])
+	for i := 1; i < len(recs); i++ {
+		if s.shardOf(&recs[i]) != idx {
+			return 0, false
+		}
+	}
+	return idx, true
+}
+
+// byShard splits recs by shard, keeping each shard's records in order.
+func (s *Store) byShard(recs []probe.Record) map[int][]probe.Record {
+	out := make(map[int][]probe.Record)
+	for i := range recs {
+		idx := s.shardOf(&recs[i])
+		out[idx] = append(out[idx], recs[i])
+	}
+	return out
 }
 
 // RangeRecords streams every record whose routing UUID — a link's parent
